@@ -354,6 +354,50 @@ func BenchmarkBucketDrain(b *testing.B) {
 	}
 }
 
+// fabricTarget counts fired fabric events.
+type fabricTarget struct{ fired int }
+
+func (f *fabricTarget) OnEvent(sim.Op, any) { f.fired++ }
+
+// BenchmarkFabricDrain is the calendar under the bucket shape a dense k=8
+// cell actually produces: per 256 ns window, 30 typed events at 4
+// distinct offsets 80 ns apart, appended as three interleaved runs that
+// are each monotone in time (three links' transmissions). Each round
+// schedules one window and drains it. Reported per event; the parked
+// far-future events keep the calendar in dense mode. A window is only
+// ~2 µs of work, so time thousands of them (-benchtime=100000x).
+func BenchmarkFabricDrain(b *testing.B) {
+	const perWindow, runs = 30, 3
+	eng := sim.NewEngine()
+	for i := 0; i < 65; i++ {
+		eng.Schedule(3600*sim.Second, func() {})
+	}
+	ft := &fabricTarget{}
+	var offsets [perWindow]sim.Time
+	for i := range offsets {
+		// Event k of run r sits at offset index (k+3r)*4/19: each run
+		// climbs its own staggered stretch of the four offsets, and the
+		// round-robin interleave appends every run's early events behind
+		// the others' later ones, with same-instant ties across runs.
+		r, k := i%runs, i/runs
+		offsets[i] = sim.Time(3 + 80*((k+3*r)*4/19))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= perWindow {
+		// The last window takes only the remaining events, so exactly
+		// b.N events are scheduled and drained.
+		base := (eng.Now() + 512) &^ 255 // next-but-one 256 ns window
+		for _, off := range offsets[:min(left, perWindow)] {
+			eng.ScheduleTargetAt(base+off, ft, 0, nil)
+		}
+		eng.Run(base + 255)
+	}
+	if ft.fired != b.N {
+		b.Fatalf("fired %d events, want %d", ft.fired, b.N)
+	}
+}
+
 // releaseSink terminates packets like a host: every delivery leaves the
 // simulation and returns to the pool.
 type releaseSink struct{ delivered int64 }

@@ -42,11 +42,10 @@ type ShardFile[T any] struct {
 // type-erased view the campaign registry hands to the dispatch layer.
 func (f *ShardFile[T]) ShardManifest() ShardManifest { return f.Manifest }
 
-// Encode writes the shard file as indented JSON.
+// Encode writes the shard file as compact JSON on one line. The decoder
+// ignores whitespace, so indented shard files still merge.
 func (f *ShardFile[T]) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	return json.NewEncoder(w).Encode(f)
 }
 
 // ShardBlob is one shard file's raw bytes plus a name for error messages.

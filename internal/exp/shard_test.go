@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -281,6 +283,42 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 	res.Render(&got)
 	if got.String() != want.String() {
 		t.Errorf("merged sweep diverges:\n--- unsharded ---\n%s\n--- merged ---\n%s", want.String(), got.String())
+	}
+}
+
+// TestMergeIndentedAndCompactShards pins that the compact encoding is a
+// pure format change: a shard written indented (as older builds did) and
+// one written by Encode merge into the same cells as two compact ones.
+func TestMergeIndentedAndCompactShards(t *testing.T) {
+	files := []*ShardFile[SubflowSweepResult]{{
+		Manifest: newManifest(CampaignSubflow, "sweep", ShardSpec{0, 2}, 2),
+		Cells:    []ShardCell[SubflowSweepResult]{{Cell: 0, Data: SubflowSweepResult{Subflows: 1, AvgGoodput: 412.5, Flows: 16}}},
+	}, {
+		Manifest: newManifest(CampaignSubflow, "sweep", ShardSpec{1, 2}, 2),
+		Cells:    []ShardCell[SubflowSweepResult]{{Cell: 1, Data: SubflowSweepResult{Subflows: 2, AvgGoodput: 637.25, Flows: 16}}},
+	}}
+	compact := encodeBlobs(t, files)
+	for i, b := range compact {
+		if n := bytes.Count(b.Data, []byte("\n")); n != 1 {
+			t.Fatalf("shard %d: compact encoding has %d lines, want 1", i, n)
+		}
+	}
+	indented, err := json.MarshalIndent(files[0], "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := []ShardBlob{{Name: "indented.json", Data: indented}, compact[1]}
+
+	want, err := MergeShardBlobs(compact)
+	if err != nil {
+		t.Fatalf("compact merge: %v", err)
+	}
+	got, err := MergeShardBlobs(mixed)
+	if err != nil {
+		t.Fatalf("indented+compact merge: %v", err)
+	}
+	if !reflect.DeepEqual(got.Subflow, want.Subflow) || len(got.Subflow) != 2 {
+		t.Fatalf("indented+compact merge = %+v, want %+v", got.Subflow, want.Subflow)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Allocation regression guards: the calendar hot paths must stay at zero
 // heap allocations per operation. PR 2 removed the Event allocations with
@@ -115,4 +118,80 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("timer arm+fire allocates %v/op, want 0", allocs)
 	}
+}
+
+// TestEventIsOneCacheLine pins the Event layout: one 64-byte line, which
+// closures reach through funcTarget instead of a field of their own.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("sizeof(Event) = %d, want 64", got)
+	}
+}
+
+// TestClosureRingPathZeroAlloc covers closures on the dense ring path: a
+// capturing func stored as a funcTarget must not allocate on schedule,
+// fire, or either cancel path.
+func TestClosureRingPathZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	park(eng, ringThreshold+1)
+	n := 0
+	fn := func() { n++ } // built once: the closure itself is not under test
+	step := func() {
+		eng.Schedule(Microsecond, fn)
+		eng.Run(eng.Now() + Time(Microsecond))
+	}
+	step()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("ring closure schedule+fire allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		eng.Cancel(eng.Schedule(Microsecond, fn))
+	}); allocs != 0 {
+		t.Fatalf("ring tail cancel allocates %v/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		victim := eng.Schedule(Microsecond, fn)
+		eng.Schedule(Microsecond, fn)
+		eng.Cancel(victim)
+		eng.Run(eng.Now() + Time(Microsecond))
+	}); allocs != 0 {
+		t.Fatalf("ring interior cancel+drain allocates %v/op, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("closure events did not fire")
+	}
+}
+
+// TestPileUpSpareReuseZeroAlloc drives one bucket far past its seed
+// capacity and drains it, twice: the first pile-up allocates its larger
+// arrays, and the spare pool must serve every later one.
+func TestPileUpSpareReuseZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	park(eng, ringThreshold+1)
+	fn := func() {}
+	pileUp := func() {
+		w := (eng.Now() + Time(4*wheelBucketWidth)) &^ wheelAlignMask
+		for i := 0; i < 20*bucketSeedCap; i++ {
+			eng.ScheduleAt(w+Time(i)%Time(wheelBucketWidth), fn)
+		}
+		eng.Run(w + Time(wheelBucketWidth))
+	}
+	pileUp()
+	if allocs := testing.AllocsPerRun(10, pileUp); allocs != 0 {
+		t.Fatalf("repeat pile-up allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestRingKeySeqGuard pins the loud failure for a seq that no longer fits
+// the ring key.
+func TestRingKeySeqGuard(t *testing.T) {
+	eng := NewEngine()
+	park(eng, ringThreshold+1)
+	eng.nextSeq = 1 << keySeqBits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ring insert with an oversized seq did not panic")
+		}
+	}()
+	eng.Schedule(Microsecond, func() {})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -24,11 +25,12 @@ type Target interface {
 	OnEvent(op Op, arg any)
 }
 
-// Event kinds: the tagged union discriminator.
-const (
-	kindFunc uint8 = iota
-	kindTarget
-)
+// funcTarget adapts a closure to Target, so Schedule and ScheduleAt ride
+// the typed path. A func value is pointer-shaped: storing one in the
+// Target interface does not allocate.
+type funcTarget func()
+
+func (f funcTarget) OnEvent(Op, any) { f() }
 
 // Event is a scheduled callback. Event structs are owned and recycled by
 // their Engine: after an event fires or is cancelled the struct returns to
@@ -37,9 +39,9 @@ const (
 // that pairs the struct with its generation, so a stale Handle can be
 // detected and ignored.
 //
-// An Event is a small tagged union: kindFunc events carry a closure in fn,
-// kindTarget events carry a pre-bound (target, op, arg) triple and fire
-// through a single interface call with no per-event allocation.
+// Every event carries a pre-bound (target, op, arg) triple and fires
+// through a single interface call with no per-event allocation; closures
+// arrive as a funcTarget. The struct is exactly one 64-byte cache line.
 type Event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among events at the same instant
@@ -48,8 +50,7 @@ type Event struct {
 	// event that already fired or was cancelled, and Cancel treats it as a
 	// no-op.
 	gen    uint64
-	fn     func() // kindFunc payload
-	target Target // kindTarget payload
+	target Target
 	arg    any
 	// slot locates the event inside the calendar: the wheel bucket index
 	// holding it, or overflowSlot for the far-future overflow heap. Kept
@@ -57,7 +58,6 @@ type Event struct {
 	// path without searching.
 	slot     int32
 	op       Op
-	kind     uint8
 	canceled bool
 }
 
@@ -87,21 +87,19 @@ func (h Handle) At() Time {
 	return h.ev.at
 }
 
-// Time-wheel geometry, sized from the k=8 cell's measured event density
-// (~40 events per µs of simulated time): a 256 ns bucket holds ~10 events
-// in the dense phases, so a one-shot drain sort touches a handful of
-// cache-resident entries. The ring is kept deliberately short —
-// 2^wheelBits buckets, a ~262 µs horizon — because the whole structure
-// (slice headers, seed backing, bitmap) then stays cache-resident as the
-// cursor streams through it. The horizon comfortably covers the
-// packet-hop events that dominate the calendar (serialization at 1 Gbps
-// is ~12 µs per full packet, propagation 20–40 µs per hop); protocol
-// timers (delayed ACK, RTO, experiment phases) live in the overflow heap
-// — where ALL events lived before the wheel — and are promoted into the
-// ring when the clock draws within the horizon.
+// Time-wheel geometry, sized from the measured bucket shape of a dense
+// k=8 permutation cell: fabric events sit at offsets that are multiples of
+// 80 ns, and 97% of 256 ns windows hold at most 4 distinct instants, so a
+// 64 ns bucket is usually one run already in (time, seq) order and the
+// drain sort has almost nothing to move. The ring keeps the ~262 µs
+// horizon (2^wheelBits buckets), which comfortably covers the packet-hop
+// events that dominate the calendar (serialization at 1 Gbps is ~12 µs
+// per full packet, propagation 20–40 µs per hop); protocol timers
+// (delayed ACK, RTO, experiment phases) live in the overflow heap and are
+// promoted into the ring when the clock draws within the horizon.
 const (
-	wheelBucketBits = 8  // bucket width: 2^8 ns = 256 ns
-	wheelBits       = 10 // 2^10 = 1024 buckets
+	wheelBucketBits = 6  // bucket width: 2^6 ns = 64 ns
+	wheelBits       = 12 // 2^12 = 4096 buckets
 	wheelBuckets    = 1 << wheelBits
 	wheelMask       = wheelBuckets - 1
 	// wheelBucketWidth is the time covered by one bucket.
@@ -110,9 +108,47 @@ const (
 	// later overflow.
 	wheelSpan = Time(wheelBuckets) << wheelBucketBits
 	// wheelAlignMask aligns an absolute time down to the start of its
-	// 256 ns bucket window: t &^ wheelAlignMask.
+	// bucket window: t &^ wheelAlignMask.
 	wheelAlignMask = Time(wheelBucketWidth) - 1
 )
+
+// keySeqBits is the width of the seq field of a ring entry's key; the
+// in-window offset takes the bits above it. The blank constant fails to
+// compile if the offset would not fit.
+const (
+	keySeqBits = 56
+	_          = uint(64 - keySeqBits - wheelBucketBits)
+)
+
+// entry is one ring slot: the event and its in-bucket ordering key,
+// (at & wheelAlignMask)<<keySeqBits | seq. Every entry of a bucket shares
+// the bucket's aligned window (a bucket never holds more than one
+// rotation), so comparing keys is exactly the (time, seq) order and the
+// drain sort never dereferences an Event.
+type entry struct {
+	key uint64
+	ev  *Event
+}
+
+// ringKey builds ev's ring key. The seq guard is unreachable in practice
+// (2^56 events) but keeps an overflowing seq from silently reordering a
+// bucket.
+func ringKey(ev *Event) uint64 {
+	if ev.seq>>keySeqBits != 0 {
+		panicSeqOverflow(ev.seq)
+	}
+	return uint64(ev.at&wheelAlignMask)<<keySeqBits | ev.seq
+}
+
+// bucket is one ring slot list, kept in ascending key order from its
+// drain cursor on. s[:next] are already popped; s[next:] are pending;
+// s[next:sorted] is known to be in order. Appends land at the end and
+// leave sorted alone, so the drain sort only inserts the new suffix.
+type bucket struct {
+	s      []entry
+	next   int32
+	sorted int32
+}
 
 // bucketOf maps an absolute time to its wheel bucket. The mapping is a
 // pure function of the time, so it never disagrees with itself across
@@ -126,18 +162,18 @@ func bucketOf(t Time) int32 { return int32((t >> wheelBucketBits) & wheelMask) }
 // steady-state simulation allocates no events at all.
 //
 // The calendar is a bucketed time-wheel: a ring of time buckets covering
-// [wheelBase, wheelBase+wheelSpan), each bucket an unsorted *spill list*,
+// [wheelBase, wheelBase+wheelSpan), each bucket a list of keyed entries,
 // plus a single 4-ary overflow heap for events beyond the horizon.
 // Scheduling into a ring bucket is a plain append — no comparisons, no
-// sift — and ordering is established once, when the drain cursor reaches
-// the bucket: a one-shot in-place sort puts the bucket in descending
-// (time, seq) order so the next event to fire sits at the tail and every
-// pop is a truncation. The head of the calendar is the smaller of (first
-// occupied bucket's earliest event, overflow root) under the same strict
-// (time, seq) total order, so pop order is identical to a single global
-// heap — the wheel only changes how much work each operation does: O(1)
-// amortized per insert against the heap's O(log n), and the dominant
-// comparison traffic collapses into one cache-friendly pass per bucket.
+// sift — and ordering is established when the drain reaches the bucket:
+// an insertion sort on the inline keys puts the not-yet-sorted suffix in
+// ascending (time, seq) order, and every pop advances the bucket's drain
+// cursor. The head of the calendar is the smaller of (first occupied
+// bucket's front event, overflow root) under the same strict (time, seq)
+// total order, so pop order is identical to a single global heap — the
+// wheel only changes how much work each operation does: O(1) amortized
+// per insert against the heap's O(log n), and appends already arrive in
+// seq order, so the sort moves only the few out-of-order entries.
 type Engine struct {
 	now     Time
 	nextSeq uint64
@@ -157,12 +193,12 @@ type Engine struct {
 	ringEntries int
 
 	// runAligned/runSlot memoize the bucket window and index of the most
-	// recent generic ring insert — the engine-global batching memo.
-	// Synchronized workload phases (incast rounds, flow-start waves)
-	// schedule long runs of events at identical or near-identical
-	// instants; when the next deadline falls into the same 256 ns window,
-	// the event is appended to the memoized bucket directly, skipping
-	// re-anchoring, the horizon check, and the bucket mapping. The memo is
+	// recent ring insert. Synchronized workload phases (incast rounds,
+	// flow-start waves) and busy links schedule long runs of events at
+	// identical or near-identical instants; when the next deadline falls
+	// into the same bucket window, the event is appended to the memoized
+	// bucket directly, skipping re-anchoring, the horizon check, and the
+	// bucket mapping. The memo is
 	// self-validating: the window is an absolute aligned time, and any
 	// deadline inside it is provably within the current ring horizon (see
 	// insert). -1 until the first ring insert.
@@ -211,34 +247,43 @@ type Engine struct {
 	promoted uint64
 	stopped  bool
 
+	// seed is the shared backing every bucket starts from and returns to
+	// when it drains, allocated at the first ring append (see grow).
+	// spare[k] holds free arrays of capacity bucketSeedCap<<k left behind
+	// by grown buckets, so a later pile-up climbs the same capacity ladder
+	// without allocating.
+	seed  []entry
+	spare [spareClasses][][]entry
+
 	// The ring itself lives at the end of the struct so the hot scalar
-	// fields above share cache lines instead of straddling its ~24 KB.
-	buckets [wheelBuckets][]*Event
-	// sorted[b] reports that bucket b is in drain order: descending
-	// (time, seq), next event to fire at the tail. Every append clears
-	// it; the drain re-sorts at most once per intervening append.
-	sorted   [wheelBuckets]bool
+	// fields above share cache lines instead of straddling its 128 KB.
 	occupied [wheelBuckets / 64]uint64 // occupancy bitmap over buckets
+	buckets  [wheelBuckets]bucket
 }
 
 // bucketSeedCap is the initial capacity of every ring bucket. Buckets are
 // seeded from one shared backing array so steady-state scheduling never
-// allocates as the cursor reaches previously-unvisited buckets; a bucket
-// that outgrows its seed (incast pile-up) reallocates once and keeps the
-// larger capacity for the rest of the run. 64 covers the k=8 cell's
-// dense phases (the busiest buckets reach the 30-60 event range during
-// synchronized incast rounds), so regrowth is confined to genuine
-// pile-ups; the shared backing is 512 KB, paid once per engine.
-const bucketSeedCap = 64
+// allocates as the cursor reaches previously-unvisited buckets. A bucket
+// that outgrows its seed (a dense phase or an incast pile-up) moves to a
+// larger array, and hands it to the spare pool when it drains.
+const bucketSeedCap = 8
+
+// spareClasses bounds the capacity ladder of grown buckets: class k holds
+// arrays of bucketSeedCap<<k entries.
+const spareClasses = 32
+
+// capClass returns k for an array of capacity bucketSeedCap<<k.
+func capClass(c int) int { return bits.Len(uint(c/bucketSeedCap)) - 1 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	e := &Engine{wheelEnd: wheelSpan, runAligned: -1, headSlot: -1}
-	backing := make([]*Event, wheelBuckets*bucketSeedCap)
-	for i := range e.buckets {
-		e.buckets[i] = backing[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-	}
-	return e
+	return &Engine{wheelEnd: wheelSpan, runAligned: -1, headSlot: -1}
+}
+
+// seedOf returns bucket b's empty seed slice.
+func (e *Engine) seedOf(b int32) []entry {
+	i := int(b) * bucketSeedCap
+	return e.seed[i : i : i+bucketSeedCap]
 }
 
 // Now returns the current simulated time.
@@ -328,46 +373,89 @@ func siftDown(h []*Event, i int, ev *Event) {
 	h[i] = ev
 }
 
-// spillSortMax is the bucket size at which the drain sort switches from
-// insertion sort to pdqsort (slices.SortFunc).
-const spillSortMax = 32
+// insertionSortMax is the unsorted-suffix length above which the drain sort
+// switches from insertion sort to pdqsort (slices.SortFunc on the keys).
+const insertionSortMax = 32
 
-// sortSpill establishes drain order on one spill bucket: descending
-// (time, seq), so the earliest event sits at the tail and every pop is a
-// truncation. (time, seq) is a strict total order — no two events share a
-// key — so any correct sort produces the same drain order regardless of
-// algorithm or stability; the split below is pure mechanics. Typical
-// dense-phase buckets hold ~10 events, where a single insertion-sort pass
-// over the cache-resident slice beats pdqsort's dispatch; genuine
-// pile-ups (synchronized incast rounds) fall through to pdqsort.
-func sortSpill(s []*Event) {
-	if len(s) <= spillSortMax {
-		for i := 1; i < len(s); i++ {
-			ev := s[i]
-			j := i - 1
-			for j >= 0 && less(s[j], ev) {
-				s[j+1] = s[j]
-				j--
+// sort puts the bucket's pending entries in ascending key order. Only the
+// suffix appended since the last sort is inserted: appends arrive in seq
+// order and mostly at non-decreasing offsets, so insertion sort does one
+// move per inversion. (time, seq) is a strict total order — no two
+// entries share a key — so any correct sort yields the same drain order;
+// genuine pile-ups fall through to pdqsort.
+func (bk *bucket) sort() {
+	s, lo := bk.s, int(bk.next)
+	if len(s)-int(bk.sorted) > insertionSortMax {
+		slices.SortFunc(s[lo:], func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	} else {
+		for i := int(bk.sorted); i < len(s); i++ {
+			x := s[i]
+			j := i
+			for ; j > lo && s[j-1].key > x.key; j-- {
+				s[j] = s[j-1]
 			}
-			s[j+1] = ev
+			s[j] = x
 		}
+	}
+	bk.sorted = int32(len(s))
+}
+
+// grow makes room for one more append to full bucket b. A bucket never
+// used before gets its seed slice; the seed array itself is allocated on
+// the first such call, so an engine whose ring never engages never pays
+// for it. A bucket drained at least halfway is
+// compacted in place, which bounds the copying to one entry per pop;
+// otherwise the pending entries move to an array of twice the capacity,
+// taken from the spare pool when one is free, and a replaced non-seed
+// array joins the pool.
+//
+//go:noinline
+func (e *Engine) grow(b int32) {
+	bk := &e.buckets[b]
+	if cap(bk.s) == 0 {
+		if e.seed == nil {
+			e.seed = make([]entry, wheelBuckets*bucketSeedCap)
+		}
+		bk.s = e.seedOf(b)
 		return
 	}
-	slices.SortFunc(s, func(a, b *Event) int {
-		if a.at != b.at {
-			if a.at > b.at {
-				return -1
-			}
-			return 1
+	live := bk.s[bk.next:]
+	if int(bk.next) >= len(live) {
+		bk.s = bk.s[:copy(bk.s, live)]
+	} else {
+		k := capClass(cap(bk.s))
+		var ns []entry
+		if pool := e.spare[k+1]; len(pool) > 0 {
+			ns = pool[len(pool)-1]
+			e.spare[k+1] = pool[:len(pool)-1]
+		} else {
+			ns = make([]entry, 0, 2*cap(bk.s))
 		}
-		if a.seq != b.seq {
-			if a.seq > b.seq {
-				return -1
-			}
-			return 1
+		if k > 0 {
+			e.spare[k] = append(e.spare[k], bk.s[:0])
 		}
-		return 0
-	})
+		bk.s = append(ns, live...)
+	}
+	bk.sorted -= bk.next
+	bk.next = 0
+}
+
+// release resets drained bucket b: its array goes back to the seed (a
+// grown one to the spare pool), and its occupancy bit and any head memo
+// on it are cleared.
+func (e *Engine) release(b int32) {
+	bk := &e.buckets[b]
+	if k := capClass(cap(bk.s)); k > 0 {
+		e.spare[k] = append(e.spare[k], bk.s[:0])
+		bk.s = e.seedOf(b)
+	} else {
+		bk.s = bk.s[:0]
+	}
+	bk.next, bk.sorted = 0, 0
+	e.occupied[b>>6] &^= 1 << (uint(b) & 63)
+	if b == e.headSlot {
+		e.headSlot = -1
+	}
 }
 
 // compactOverflow rebuilds the overflow heap without its lazily-cancelled
@@ -407,24 +495,24 @@ func (e *Engine) allocSlow() *Event {
 	return e.slab.Get()
 }
 
-// recycle retires a fired or tail-cancelled event to the free-list.
-// Bumping the generation here is what invalidates every outstanding
-// Handle to it; the payload fields are nilled so the engine does not keep
-// closures or packets alive past their event. Only the fields of the
-// event's own kind are cleared: free-listed events have every payload
-// field nil (slab-fresh structs start zeroed, Schedule sets only its own
-// kind's fields, recycle clears them again), so the other kind's fields
-// are already nil and re-storing them would only buy write-barrier
-// traffic on the hot path.
-func (e *Engine) recycle(ev *Event) {
+// retire invalidates ev: bumping the generation kills every outstanding
+// Handle to it, and the payload is nilled so the engine does not keep
+// closures or packets alive past their event.
+func retire(ev *Event) {
 	ev.gen++
-	if ev.kind == kindFunc {
-		ev.fn = nil
-	} else {
-		ev.target = nil
-		ev.arg = nil
-	}
+	ev.target = nil
+	ev.arg = nil
+}
+
+// recycle retires a fired or tail-cancelled event to the free-list.
+func (e *Engine) recycle(ev *Event) {
+	retire(ev)
 	e.free = append(e.free, ev)
+}
+
+//go:noinline
+func panicSeqOverflow(seq uint64) {
+	panic(fmt.Sprintf("sim: event seq %d does not fit the %d-bit ring key", seq, keySeqBits))
 }
 
 //go:noinline
@@ -441,16 +529,10 @@ func panicNegativeDelay(d Duration) {
 // passed to Cancel. Scheduling in the past panics: it always indicates a
 // logic error in the caller.
 func (e *Engine) Schedule(d Duration, fn func()) Handle {
-	if d < 0 {
-		panicNegativeDelay(d)
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.insert(e.now.Add(d))
-	ev.kind = kindFunc
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
+	return e.ScheduleTarget(d, funcTarget(fn), 0, nil)
 }
 
 // ScheduleAt runs fn at absolute time t (>= Now).
@@ -458,10 +540,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.insert(t)
-	ev.kind = kindFunc
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
+	return e.ScheduleTargetAt(t, funcTarget(fn), 0, nil)
 }
 
 // ScheduleTarget runs t.OnEvent(op, arg) after delay d (>= 0). This is the
@@ -478,7 +557,6 @@ func (e *Engine) ScheduleTarget(d Duration, t Target, op Op, arg any) Handle {
 		panic("sim: nil event target")
 	}
 	ev := e.insert(e.now.Add(d))
-	ev.kind = kindTarget
 	ev.target = t
 	ev.op = op
 	ev.arg = arg
@@ -491,41 +569,6 @@ func (e *Engine) ScheduleTargetAt(at Time, t Target, op Op, arg any) Handle {
 		panic("sim: nil event target")
 	}
 	ev := e.insert(at)
-	ev.kind = kindTarget
-	ev.target = t
-	ev.op = op
-	ev.arg = arg
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// BucketRun memoizes where one call site's most recent event landed in
-// the calendar ring: the absolute 256 ns window and its bucket index.
-// ScheduleTargetRun consults it so that back-to-back schedules whose
-// deadlines share a bucket append as a run instead of going through the
-// generic insert. The memo is self-validating — the window is an
-// absolute aligned time and the slot is its pure-function bucket index —
-// so the zero value is ready to use and a stale memo can only miss, never
-// mis-place.
-type BucketRun struct {
-	aligned Time
-	slot    int32
-}
-
-// ScheduleTargetRun is ScheduleTarget with same-bucket batching through
-// the caller's own BucketRun memo. netem links keep one run per
-// scheduling site (propagation delivery, serialization done): bursts of
-// back-to-back transmissions whose deadlines land in one 256 ns bucket
-// cost one generic insert plus plain appends, with the drain sort
-// ordering the whole run in a single pass when the cursor reaches it.
-func (e *Engine) ScheduleTargetRun(r *BucketRun, d Duration, t Target, op Op, arg any) Handle {
-	if d < 0 {
-		panicNegativeDelay(d)
-	}
-	if t == nil {
-		panic("sim: nil event target")
-	}
-	ev := e.insertRun(r, e.now.Add(d))
-	ev.kind = kindTarget
 	ev.target = t
 	ev.op = op
 	ev.arg = arg
@@ -542,14 +585,16 @@ func (e *Engine) ScheduleTargetRun(r *BucketRun, d Duration, t Target, op Op, ar
 // under the same (time, seq) key.
 const ringThreshold = 64
 
-// spillAppend places ev into ring bucket b (the bucket covering the
-// window starting at aligned): a plain append plus bitmap and memo
-// maintenance. This is the entire insert-side cost of the spill-bucket
-// design — ordering is deferred to the drain sort.
-func (e *Engine) spillAppend(b int32, aligned Time, ev *Event) {
+// ringAppend places ev into ring bucket b (the bucket covering the
+// window starting at aligned): a plain append of its keyed entry plus
+// bitmap and memo maintenance. Ordering is deferred to the drain sort.
+func (e *Engine) ringAppend(b int32, aligned Time, ev *Event) {
 	ev.slot = b
-	e.buckets[b] = append(e.buckets[b], ev)
-	e.sorted[b] = false
+	bk := &e.buckets[b]
+	if len(bk.s) == cap(bk.s) {
+		e.grow(b)
+	}
+	bk.s = append(bk.s, entry{ringKey(ev), ev})
 	e.occupied[b>>6] |= 1 << (uint(b) & 63)
 	e.ringEntries++
 	if e.headSlot >= 0 && aligned < e.headAligned {
@@ -586,55 +631,31 @@ func (e *Engine) insert(t Time) *Event {
 	ev.at = t
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	if e.nextSeq-e.processed-e.cancels > ringThreshold && t-e.now < wheelSpan {
-		a := t &^ wheelAlignMask
-		if a == e.runAligned {
-			e.spillAppend(e.runSlot, a, ev)
-			return ev
-		}
-		// The ring is anchored lazily: the clock may have advanced many
-		// buckets since the last ring insert, so re-derive the base from
-		// now (and promote newly-near overflow events) before mapping t.
-		if base := e.now &^ wheelAlignMask; base != e.wheelBase {
-			e.reanchor(base)
-		}
-		if t < e.wheelEnd {
-			b := bucketOf(t)
-			e.runAligned, e.runSlot = a, b
-			e.spillAppend(b, a, ev)
-			return ev
+	if e.nextSeq-e.processed-e.cancels > ringThreshold {
+		// Dense mode: the ring engages.
+		if t-e.now < wheelSpan {
+			a := t &^ wheelAlignMask
+			if a == e.runAligned {
+				e.ringAppend(e.runSlot, a, ev)
+				return ev
+			}
+			// The ring is anchored lazily: the clock may have advanced
+			// many buckets since the last ring insert, so re-derive the
+			// base from now (and promote newly-near overflow events)
+			// before mapping t.
+			if base := e.now &^ wheelAlignMask; base != e.wheelBase {
+				e.reanchor(base)
+			}
+			if t < e.wheelEnd {
+				b := bucketOf(t)
+				e.runAligned, e.runSlot = a, b
+				e.ringAppend(b, a, ev)
+				return ev
+			}
 		}
 	}
 	ev.slot = overflowSlot
 	heapPush(&e.overflow, ev)
-	return ev
-}
-
-// insertRun is insert with the caller's own bucket memo consulted first,
-// and re-stamped after any generic placement that lands in the ring. The
-// pending comparison mirrors insert's post-increment dense check; the
-// fast arm's safety argument is the same as the engine-global memo's
-// (see insert), since a BucketRun's slot is the pure bucket index of its
-// aligned window.
-func (e *Engine) insertRun(r *BucketRun, t Time) *Event {
-	if a := t &^ wheelAlignMask; a == r.aligned && e.nextSeq-e.processed-e.cancels >= ringThreshold && t >= e.now {
-		var ev *Event
-		if n := len(e.free) - 1; n >= 0 {
-			ev = e.free[n]
-			e.free = e.free[:n]
-		} else {
-			ev = e.allocSlow()
-		}
-		ev.at = t
-		ev.seq = e.nextSeq
-		e.nextSeq++
-		e.spillAppend(r.slot, a, ev)
-		return ev
-	}
-	ev := e.insert(t)
-	if ev.slot >= 0 {
-		r.aligned, r.slot = ev.at&^wheelAlignMask, ev.slot
-	}
 	return ev
 }
 
@@ -649,11 +670,11 @@ func (e *Engine) insertRun(r *BucketRun, t Time) *Event {
 // immediately; only the struct's reuse is deferred. One fast path: when
 // the event occupies the last slot of its container (its ring bucket or
 // the overflow heap) it can be truncated without disturbing the
-// container's order — in an unsorted spill bucket the tail is the most
-// recent append (the schedule-then-cancel churn shape), in a drain-sorted
-// bucket it is the next event to fire, and in the overflow heap it is a
-// leaf; all three truncate safely — so the struct is reclaimed on the
-// spot.
+// container's order — in an unsorted bucket the tail is the most recent
+// append (the schedule-then-cancel churn shape), in a sorted bucket it is
+// the last event to fire (and, when one entry is left, the one at the
+// drain cursor), and in the overflow heap it is a leaf; all three
+// truncate safely — so the struct is reclaimed on the spot.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	// gen covers the canceled state too: every path that marks an event
@@ -666,17 +687,15 @@ func (e *Engine) Cancel(h Handle) {
 	// Branch on the container once and operate on its slice directly: the
 	// ring and overflow arms each load, test and truncate their own slice
 	// header, so the common tail-cancel path runs with no pointer
-	// indirection through a shared *[]*Event.
+	// indirection through a shared slice pointer.
 	if b := ev.slot; b >= 0 {
-		s := e.buckets[b]
-		if n := len(s) - 1; s[n] == ev {
-			e.buckets[b] = s[:n]
+		bk := &e.buckets[b]
+		if n := len(bk.s) - 1; bk.s[n].ev == ev {
+			bk.s = bk.s[:n]
+			bk.sorted = min(bk.sorted, int32(n))
 			e.ringEntries--
-			if n == 0 {
-				e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-				if b == e.headSlot {
-					e.headSlot = -1
-				}
+			if n == int(bk.next) {
+				e.release(b)
 			}
 			e.recycle(ev)
 			return
@@ -684,13 +703,7 @@ func (e *Engine) Cancel(h Handle) {
 		// Interior ring corpse: the cursor sweeps every bucket within one
 		// horizon, so no counter is needed.
 		ev.canceled = true
-		ev.gen++ // invalidate all outstanding handles now
-		if ev.kind == kindFunc {
-			ev.fn = nil
-		} else {
-			ev.target = nil
-			ev.arg = nil
-		}
+		retire(ev) // invalidate all outstanding handles now
 		return
 	}
 	s := e.overflow
@@ -700,13 +713,7 @@ func (e *Engine) Cancel(h Handle) {
 		return
 	}
 	ev.canceled = true
-	ev.gen++ // invalidate all outstanding handles now
-	if ev.kind == kindFunc {
-		ev.fn = nil
-	} else {
-		ev.target = nil
-		ev.arg = nil
-	}
+	retire(ev) // invalidate all outstanding handles now
 	e.canceledOverflow++
 	// Compact when cancelled corpses outnumber live events and are
 	// worth the O(n) sweep; keeps RTO-churn heaps from growing without
@@ -750,7 +757,7 @@ func (e *Engine) reanchor(base Time) {
 			break
 		}
 		heapPop(&e.overflow)
-		e.spillAppend(bucketOf(head.at), head.at&^wheelAlignMask, head)
+		e.ringAppend(bucketOf(head.at), head.at&^wheelAlignMask, head)
 		e.promoted++
 	}
 }
@@ -807,36 +814,27 @@ func (e *Engine) head() *Event {
 		if e.ringEntries > 0 {
 			b := e.headSlot
 			if b < 0 {
+				// ringEntries > 0, so some bucket is occupied.
 				b = e.wheelScan()
-				if b >= 0 {
-					e.headSlot = b
-					e.headAligned = e.buckets[b][0].at &^ wheelAlignMask
-				}
+				e.headSlot = b
+				bk := &e.buckets[b]
+				e.headAligned = bk.s[bk.next].ev.at &^ wheelAlignMask
 			}
-			if b >= 0 {
-				bucket := e.buckets[b]
-				if !e.sorted[b] {
-					sortSpill(bucket)
-					e.sorted[b] = true
-				}
-				n := len(bucket) - 1
-				tail := bucket[n]
-				if tail.canceled {
-					// Cancel already bumped gen and cleared the payload;
-					// the struct only needs the canceled reset (free-list
-					// invariant) on its way to the free-list.
-					e.buckets[b] = bucket[:n]
-					e.ringEntries--
-					if n == 0 {
-						e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-						e.headSlot = -1
-					}
-					tail.canceled = false
-					e.free = append(e.free, tail)
-					continue
-				}
-				wev = tail
+			bk := &e.buckets[b]
+			if int(bk.sorted) < len(bk.s) {
+				bk.sort()
 			}
+			front := bk.s[bk.next].ev
+			if front.canceled {
+				// Cancel already bumped gen and cleared the payload; the
+				// struct only needs the canceled reset (free-list
+				// invariant) on its way to the free-list.
+				e.popFront(b)
+				front.canceled = false
+				e.free = append(e.free, front)
+				continue
+			}
+			wev = front
 		}
 		var oev *Event
 		for s := e.overflow; len(s) > 0; s = e.overflow {
@@ -860,35 +858,33 @@ func (e *Engine) head() *Event {
 	}
 }
 
+// popFront advances ring bucket b's drain cursor past its front entry,
+// releasing the bucket once it is empty.
+func (e *Engine) popFront(b int32) {
+	bk := &e.buckets[b]
+	bk.next++
+	e.ringEntries--
+	if int(bk.next) == len(bk.s) {
+		e.release(b)
+	}
+}
+
 // fire pops the head event — which head() must have just returned, so it
-// is live and, if ring-resident, its (drain-sorted) bucket's tail — and
+// is live and, if ring-resident, at its sorted bucket's drain cursor — and
 // executes it. The struct is recycled before the callback runs, so the
 // callback's own Schedule calls reuse it; the payload is copied out first
 // to keep the execution independent of that reuse.
 func (e *Engine) fire(ev *Event) {
 	if b := ev.slot; b >= 0 {
-		s := e.buckets[b]
-		n := len(s) - 1
-		e.buckets[b] = s[:n]
-		e.ringEntries--
-		if n == 0 {
-			e.occupied[b>>6] &^= 1 << (uint(b) & 63)
-			e.headSlot = -1
-		}
+		e.popFront(b)
 	} else {
 		heapPop(&e.overflow)
 	}
 	e.now = ev.at
 	e.processed++
-	if ev.kind == kindFunc {
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	} else {
-		target, op, arg := ev.target, ev.op, ev.arg
-		e.recycle(ev)
-		target.OnEvent(op, arg)
-	}
+	target, op, arg := ev.target, ev.op, ev.arg
+	e.recycle(ev)
+	target.OnEvent(op, arg)
 }
 
 // Run executes events in timestamp order until the calendar is empty or the

@@ -147,33 +147,103 @@ func TestCancelRescheduleAcrossSplit(t *testing.T) {
 	}
 }
 
-// TestWheelHeapDifferential is the randomized differential test: a few
-// thousand schedule/cancel operations with delays straddling the ring
-// horizon, popped against a reference model (stable sort by time, i.e. the
-// (time, seq) order the old global heap produced). Any divergence in pop
-// order or final clock fails.
-func TestWheelHeapDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20130612)) // fixed seed: deterministic
-	eng := NewEngine()
+// refEvent is one scheduled event in the differential reference model.
+type refEvent struct {
+	at       Time
+	id       int
+	canceled bool
+}
 
-	type refEvent struct {
-		at       Time
-		id       int
-		canceled bool
+// diffModel schedules onto an Engine and mirrors every operation in a
+// reference model whose pop order is the live events stable-sorted by
+// time — the (time, seq) order a single global heap produces, since
+// insertion order is seq order.
+type diffModel struct {
+	eng   *Engine
+	ref   []refEvent // insertion (seq) order; ids index it
+	fired []int
+}
+
+// at schedules an event at absolute time t that records its firing and
+// then runs then (when non-nil).
+func (m *diffModel) at(t Time, then func()) (Handle, int) {
+	id := len(m.ref)
+	m.ref = append(m.ref, refEvent{at: t, id: id})
+	h := m.eng.ScheduleAt(t, func() {
+		m.fired = append(m.fired, id)
+		if then != nil {
+			then()
+		}
+	})
+	return h, id
+}
+
+// cancel cancels event id through its handle. Every caller cancels an
+// event that has not fired yet, so a handle that is not pending means the
+// engine handed back a stale one, and the test fails.
+func (m *diffModel) cancel(t *testing.T, h Handle, id int) {
+	t.Helper()
+	if !h.Pending() {
+		t.Fatalf("cancel of event %d: handle not pending", id)
 	}
-	var ref []refEvent // insertion (seq) order
-	var fired []int
-	nextID := 0
+	m.ref[id].canceled = true
+	m.eng.Cancel(h)
+}
+
+// check drains the engine and compares its pop order with the model's.
+func (m *diffModel) check(t *testing.T) {
+	t.Helper()
+	m.eng.Run(MaxTime)
+	live := make([]refEvent, 0, len(m.ref))
+	for _, r := range m.ref {
+		if !r.canceled {
+			live = append(live, r)
+		}
+	}
+	sort.SliceStable(live, func(i, j int) bool { return live[i].at < live[j].at })
+	if len(m.fired) != len(live) {
+		t.Fatalf("fired %d events, reference expects %d", len(m.fired), len(live))
+	}
+	for i, r := range live {
+		if m.fired[i] != r.id {
+			t.Fatalf("pop order diverges at %d: got id %d, reference %d", i, m.fired[i], r.id)
+		}
+	}
+	if m.eng.Pending() != 0 {
+		t.Fatalf("Pending = %d after full drain", m.eng.Pending())
+	}
+}
+
+// TestWheelHeapDifferential pops the calendar against the reference model
+// under five workloads: a randomized schedule/cancel mix straddling the
+// ring horizon, the measured fabric bucket shape, a pile-up past the
+// insertion-sort cutoff, a promotion into the bucket the cursor is
+// draining, and tail cancels at the drain cursor. Any divergence in pop
+// order fails.
+func TestWheelHeapDifferential(t *testing.T) {
+	t.Run("random", diffRandom)
+	t.Run("fabric", diffFabric)
+	t.Run("pileup", diffPileUp)
+	t.Run("promote-into-cursor", diffPromoteIntoCursor)
+	t.Run("cancel-at-cursor", diffCancelAtCursor)
+}
+
+// diffRandom is a few thousand schedule/cancel operations with delays
+// straddling the ring horizon, run to random horizons between batches.
+func diffRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(20130612)) // fixed seed: deterministic
+	m := &diffModel{eng: NewEngine()}
+	eng := m.eng
 
 	for round := 0; round < 30; round++ {
 		// Schedule a batch with delays covering same-bucket collisions, the
 		// ring horizon, the exact split boundary, deep overflow, and exact
-		// same-tick repeats — (time, seq) ties inside one spill bucket,
-		// which only the drain sort's tiebreaker can order correctly.
+		// same-tick repeats — (time, seq) ties inside one bucket, which
+		// only the key's seq field can order correctly.
 		n := 20 + rng.Intn(120)
 		handles := make([]Handle, n)
+		ids := make([]int, n)
 		delays := make([]Duration, n)
-		idx := make([]int, n)
 		for i := 0; i < n; i++ {
 			var d Duration
 			switch rng.Intn(5) {
@@ -195,27 +265,19 @@ func TestWheelHeapDifferential(t *testing.T) {
 					d = delays[rng.Intn(i)]
 				}
 			}
-			id := nextID
-			nextID++
-			handles[i] = eng.Schedule(d, func() { fired = append(fired, id) })
+			handles[i], ids[i] = m.at(eng.Now().Add(d), nil)
 			delays[i] = d
-			idx[i] = len(ref)
-			ref = append(ref, refEvent{at: eng.Now().Add(d), id: id})
 		}
 		// Cancel ~1/4 of this batch after the fact, and reschedule half of
 		// the cancelled deadlines at the same instant — cancel-then-
-		// reschedule landing in the same spill bucket, where the corpse and
-		// its replacement coexist until the drain reclaims one and fires
-		// the other.
+		// reschedule landing in the same bucket, where the corpse and its
+		// replacement coexist until the drain reclaims one and fires the
+		// other.
 		for i := 0; i < n; i++ {
 			if rng.Intn(4) == 0 {
-				eng.Cancel(handles[i])
-				ref[idx[i]].canceled = true
+				m.cancel(t, handles[i], ids[i])
 				if rng.Intn(2) == 0 {
-					id := nextID
-					nextID++
-					eng.Schedule(delays[i], func() { fired = append(fired, id) })
-					ref = append(ref, refEvent{at: eng.Now().Add(delays[i]), id: id})
+					m.at(eng.Now().Add(delays[i]), nil)
 				}
 			}
 		}
@@ -226,28 +288,146 @@ func TestWheelHeapDifferential(t *testing.T) {
 			t.Fatalf("round %d: clock %v behind horizon %v", round, eng.Now(), horizon)
 		}
 	}
-	eng.Run(MaxTime)
+	m.check(t)
+}
 
-	// Reference pop order: live events, stable-sorted by time (stability
-	// preserves insertion order, which is seq order).
-	live := make([]refEvent, 0, len(ref))
-	for _, r := range ref {
-		if !r.canceled {
-			live = append(live, r)
+// diffFabric is the measured bucket shape of a dense fat-tree cell: two
+// links' event streams, each monotone in time at 80 ns multiples of a
+// shared origin (so same-instant ties within and across streams are
+// common), appended interleaved in seq order. One stream's events each
+// schedule a propagation hop 20 µs later, so appends keep landing in
+// buckets ahead of the cursor while it drains.
+func diffFabric(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	m := &diffModel{eng: NewEngine()}
+	park(m.eng, ringThreshold+1)
+	hop := func() { m.at(m.eng.Now().Add(20*Microsecond), nil) }
+	ta := m.eng.Now() + Time(Microsecond)
+	tb := ta
+	for i := 0; i < 4000; i++ {
+		ta += Time(80 * (1 + rng.Intn(3)))
+		tb += Time(80 * rng.Intn(3)) // zero steps: ties within the stream
+		m.at(ta, hop)
+		m.at(tb, nil)
+	}
+	m.check(t)
+}
+
+// diffPileUp piles several times insertionSortMax events into one bucket at
+// random offsets and drains it, with interior cancels and mid-drain
+// appends into the bucket being drained: every pile-up event schedules
+// one more near the clock, which fills the part-drained bucket and moves
+// it to a larger array. Later rounds climb the capacity ladder again
+// through the spare pool.
+func diffPileUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(2048))
+	m := &diffModel{eng: NewEngine()}
+	park(m.eng, ringThreshold+1)
+	for round := 0; round < 4; round++ {
+		w := (m.eng.Now() + Time(4*wheelBucketWidth)) &^ wheelAlignMask
+		n := 4*insertionSortMax + rng.Intn(4*insertionSortMax)
+		handles := make([]Handle, n)
+		ids := make([]int, n)
+		then := func() { m.at(m.eng.Now()+Time(rng.Intn(3)), nil) }
+		for i := 0; i < n; i++ {
+			handles[i], ids[i] = m.at(w+Time(rng.Int63n(int64(wheelBucketWidth))), then)
 		}
-	}
-	sort.SliceStable(live, func(i, j int) bool { return live[i].at < live[j].at })
-	if len(fired) != len(live) {
-		t.Fatalf("fired %d events, reference expects %d", len(fired), len(live))
-	}
-	for i, r := range live {
-		if fired[i] != r.id {
-			t.Fatalf("pop order diverges at %d: got id %d, reference %d", i, fired[i], r.id)
+		for i := 0; i < n; i += 1 + rng.Intn(9) {
+			m.cancel(t, handles[i], ids[i])
 		}
+		m.eng.Run(w + Time(2*wheelBucketWidth))
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending = %d after full drain", eng.Pending())
+	m.check(t)
+}
+
+// diffPromoteIntoCursor lands overflow promotions in the bucket the drain
+// cursor is part-way through. Events inserted while the calendar is
+// sparse take the overflow heap even inside the horizon, so one window
+// can hold ring events and unpromoted overflow events at once; the first
+// dense insert after the cursor has popped the window's first event
+// re-anchors and promotes the rest behind it.
+func diffPromoteIntoCursor(t *testing.T) {
+	m := &diffModel{eng: NewEngine()}
+	eng := m.eng
+	parked := make([]Handle, ringThreshold+1)
+	for i := range parked {
+		parked[i] = eng.Schedule(Second, func() {})
 	}
+	u := wheelBucketWidth / 16
+	w := Time(100 * wheelBucketWidth)
+	b := bucketOf(w)
+	var hX Handle
+	m.at(w.Add(u), func() {
+		park(eng, ringThreshold+1) // dense again
+		// The next window misses the run memo left on w, so this insert
+		// re-anchors and promotes X and company into bucket b.
+		m.at(eng.Now().Add(wheelBucketWidth), nil)
+		bk := &eng.buckets[b]
+		if hX.ev.slot != b || bk.next == 0 {
+			t.Errorf("X in slot %d with cursor %d, want promoted into part-drained bucket %d", hX.ev.slot, bk.next, b)
+		}
+		m.at(w.Add(3*u), nil)  // before X
+		m.at(w.Add(5*u), nil)  // X's instant, later seq
+		m.at(w.Add(11*u), nil) // after X, past the ring-resident ones
+	})
+	hR, _ := m.at(w.Add(9*u), nil)
+	m.at(w.Add(9*u), nil)
+	if hR.ev.slot != b {
+		t.Fatalf("dense insert in slot %d, want ring bucket %d", hR.ev.slot, b)
+	}
+	for _, h := range parked {
+		eng.Cancel(h) // sparse again: the next inserts take the heap
+	}
+	hX, _ = m.at(w.Add(5*u), nil)
+	m.at(w.Add(5*u), nil)
+	m.at(w.Add(7*u), nil)
+	m.at(w.Add(9*u), nil) // ties the ring-resident pair across containers
+	if hX.ev.slot != overflowSlot {
+		t.Fatalf("sparse insert in slot %d, want overflow", hX.ev.slot)
+	}
+	promoted := eng.Promoted()
+	m.check(t)
+	if eng.Promoted() == promoted {
+		t.Fatal("no promotion happened")
+	}
+}
+
+// diffCancelAtCursor cancels bucket tails while the cursor is mid-bucket.
+// Even rounds cancel the sorted bucket's last entry, then the one left at
+// the cursor, which empties and releases the bucket, and then schedule
+// into the released bucket and tail-cancel an unsorted append. Odd rounds
+// cancel only the last entry and append one that sorts before the entry
+// still pending at the cursor.
+func diffCancelAtCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	m := &diffModel{eng: NewEngine()}
+	eng := m.eng
+	park(eng, ringThreshold+1)
+	u := wheelBucketWidth / 16
+	for round := 0; round < 50; round++ {
+		w := (eng.Now() + Time(3*wheelBucketWidth)) &^ wheelAlignMask
+		var hB, hC Handle
+		var idB, idC int
+		m.at(w.Add(u), func() {
+			m.cancel(t, hC, idC) // tail of the sorted bucket
+			if round%2 == 1 {
+				m.at(w.Add(Duration(2+rng.Intn(2))*u), nil) // sorts before B
+				return
+			}
+			m.cancel(t, hB, idB) // tail and at the cursor: releases the bucket
+			if bk := &eng.buckets[bucketOf(w)]; len(bk.s) != 0 || bk.next != 0 {
+				t.Errorf("round %d: bucket holds %d entries, cursor %d, after its last entry was cancelled", round, len(bk.s), bk.next)
+			}
+			m.at(w.Add(Duration(3+rng.Intn(12))*u), nil)
+			hF, idF := m.at(w.Add(Duration(3+rng.Intn(12))*u), nil)
+			m.cancel(t, hF, idF) // tail of an unsorted bucket
+			m.at(eng.Now(), nil)
+		})
+		hB, idB = m.at(w.Add(Duration(4+rng.Intn(5))*u), nil)
+		hC, idC = m.at(w.Add(Duration(9+rng.Intn(7))*u), nil)
+		eng.Run(w + Time(wheelBucketWidth))
+	}
+	m.check(t)
 }
 
 // TestSpillBucketSameTickTies pins FIFO order for (time, seq) ties inside
@@ -355,7 +535,9 @@ func TestCancelRescheduleSameBucket(t *testing.T) {
 // early); the first callback inside the window then schedules — the
 // insert re-anchors mid-drain and promotes the remaining overflow events
 // into the half-drained current bucket, where they must still fire in
-// exact (time, seq) order alongside freshly appended neighbours.
+// exact (time, seq) order alongside freshly appended neighbours. Every
+// offset is a fraction of wheelBucketWidth, so the scenario holds for any
+// bucket geometry.
 func TestPromotionIntoPartiallyDrainedBucket(t *testing.T) {
 	eng := NewEngine()
 	park(eng, ringThreshold+1)
@@ -367,35 +549,38 @@ func TestPromotionIntoPartiallyDrainedBucket(t *testing.T) {
 	}
 
 	// All of these are beyond the horizon at schedule time: overflow.
+	u := wheelBucketWidth / 16 // offset unit: 16 per bucket
 	base := eng.Now()
-	xAt := base.Add(Duration(wheelSpan) + 100) // the promotion subject
-	w := xAt &^ wheelAlignMask                 // its 256 ns window
-	lead := w.Sub(base) - 10                   // fires just before the window
+	xAt := base.Add(Duration(wheelSpan) + 8*u) // the promotion subject
+	w := xAt &^ wheelAlignMask                 // its bucket window
+	lead := w.Sub(base) - u                    // fires just before the window
 	hX := eng.Schedule(xAt.Sub(base), note("X"))
 	eng.Schedule(lead, note("lead"))
 	aFired := false
-	eng.Schedule(w.Sub(base)+10, func() {
-		// First event inside the window: now = w+10, the ring anchor is
+	eng.Schedule(w.Sub(base)+u, func() {
+		// First event inside the window: now = w+u, the ring anchor is
 		// stale (no dense insert since t0). This insert re-anchors and
-		// promotes X (w+100) and C (w+200) into the current bucket, then
-		// appends E (w+30) behind them.
+		// promotes X (w+8u) and C (w+12u) into the current bucket, then
+		// appends E (w+2u) behind them.
 		aFired = true
-		if eng.Now() != w.Add(10) {
-			t.Errorf("A fired at %v, want %v", eng.Now(), w.Add(10))
+		if eng.Now() != w.Add(u) {
+			t.Errorf("A fired at %v, want %v", eng.Now(), w.Add(u))
 		}
-		eng.Schedule(20, func() { // E at w+30
+		eng.Schedule(u, func() { // E at w+2u
 			order = append(order, "E")
 			times = append(times, eng.Now())
 			if hX.ev.slot == overflowSlot {
 				t.Error("X still in overflow after the re-anchoring insert")
 			}
 			// Mid-drain appends into the now-sorted, partially drained
-			// bucket: F lands before X, G in the next bucket.
-			eng.Schedule(40, note("F"))  // w+70
-			eng.Schedule(500, note("G")) // next bucket
+			// bucket: F lands before X, H between X and C, G in the
+			// next bucket.
+			eng.Schedule(2*u, note("F"))              // w+4u
+			eng.Schedule(8*u, note("H"))              // w+10u
+			eng.Schedule(wheelBucketWidth, note("G")) // next bucket
 		})
 	})
-	eng.Schedule(w.Sub(base)+200, note("C"))
+	eng.Schedule(w.Sub(base)+12*u, note("C"))
 	if hX.ev.slot != overflowSlot {
 		t.Fatal("X not in overflow at schedule time")
 	}
@@ -408,8 +593,8 @@ func TestPromotionIntoPartiallyDrainedBucket(t *testing.T) {
 	if eng.Promoted() == promotedBefore {
 		t.Fatal("no promotion happened")
 	}
-	want := []string{"lead", "E", "F", "X", "C", "G"}
-	wantAt := []Time{w.Add(-10), w.Add(30), w.Add(70), xAt, w.Add(200), w.Add(530)}
+	want := []string{"lead", "E", "F", "X", "H", "C", "G"}
+	wantAt := []Time{w.Add(-u), w.Add(2 * u), w.Add(4 * u), xAt, w.Add(10 * u), w.Add(12 * u), w.Add(2*u + wheelBucketWidth)}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -417,5 +602,33 @@ func TestPromotionIntoPartiallyDrainedBucket(t *testing.T) {
 		if order[i] != want[i] || times[i] != wantAt[i] {
 			t.Fatalf("fired %v at %v, want %v at %v", order, times, want, wantAt)
 		}
+	}
+}
+
+// TestSameInstantChainCompacts runs a long chain of zero-delay events:
+// each fires from the bucket it then appends to, and a later event in the
+// same bucket keeps it from emptying. Compacting the drained prefix away
+// must keep the bucket in its seed array instead of growing with the
+// chain.
+func TestSameInstantChainCompacts(t *testing.T) {
+	eng := NewEngine()
+	park(eng, ringThreshold+1)
+	at := eng.Now().Add(3 * wheelBucketWidth)
+	bk := &eng.buckets[bucketOf(at)]
+	left := 50 * bucketSeedCap
+	var step func()
+	step = func() {
+		if cap(bk.s) != bucketSeedCap {
+			t.Fatalf("bucket grew to capacity %d with one pending event", cap(bk.s))
+		}
+		if left--; left > 0 {
+			eng.Schedule(0, step)
+		}
+	}
+	eng.ScheduleAt(at, step)
+	eng.ScheduleAt(at+Time(wheelBucketWidth)-1, func() {})
+	eng.Run(at)
+	if left != 0 {
+		t.Fatalf("chain stopped with %d links left", left)
 	}
 }
